@@ -17,7 +17,7 @@ namespace {
 
 bool run_op(p2p::util::ByteReader& r, std::uint8_t op) {
   using p2p::util::Bytes;
-  switch (op % 12) {
+  switch (op % 13) {
     case 0: {
       std::uint8_t v;
       return r.try_read_u8(v);
@@ -62,9 +62,13 @@ bool run_op(p2p::util::ByteReader& r, std::uint8_t op) {
       Bytes v;
       return r.try_read_raw(op, v);
     }
-    default: {
+    case 11: {
       std::uint64_t v;
       return r.try_read_count(v);
+    }
+    default: {
+      p2p::util::Uuid v;
+      return r.try_read_uuid(v);
     }
   }
 }

@@ -8,14 +8,11 @@ namespace p2p::jxta {
 
 util::Bytes EndpointMessage::serialize() const {
   util::ByteWriter w;
-  w.write_u64(src.uuid().hi());
-  w.write_u64(src.uuid().lo());
-  w.write_u64(dst.uuid().hi());
-  w.write_u64(dst.uuid().lo());
+  w.write_uuid(src.uuid());
+  w.write_uuid(dst.uuid());
   w.write_string(service);
   w.write_varint(ttl);
-  w.write_u64(msg_id.hi());
-  w.write_u64(msg_id.lo());
+  w.write_uuid(msg_id);
   w.write_bytes(payload);
   return w.take();
 }
@@ -24,21 +21,19 @@ std::optional<EndpointMessage> EndpointMessage::try_deserialize(
     std::span<const std::uint8_t> data, util::DecodeError* error) {
   util::ByteReader r(data);
   EndpointMessage m;
-  std::uint64_t src_hi = 0, src_lo = 0, dst_hi = 0, dst_lo = 0;
-  std::uint64_t id_hi = 0, id_lo = 0, ttl = 0;
-  const bool ok = r.try_read_u64(src_hi) && r.try_read_u64(src_lo) &&
-                  r.try_read_u64(dst_hi) && r.try_read_u64(dst_lo) &&
+  util::Uuid src;
+  util::Uuid dst;
+  std::uint64_t ttl = 0;
+  const bool ok = r.try_read_uuid(src) && r.try_read_uuid(dst) &&
                   r.try_read_string(m.service) && r.try_read_varint(ttl) &&
-                  r.try_read_u64(id_hi) && r.try_read_u64(id_lo) &&
-                  r.try_read_bytes(m.payload);
+                  r.try_read_uuid(m.msg_id) && r.try_read_bytes(m.payload);
   if (!ok) {
     if (error != nullptr) *error = r.error();
     return std::nullopt;
   }
-  m.src = PeerId{util::Uuid{src_hi, src_lo}};
-  m.dst = PeerId{util::Uuid{dst_hi, dst_lo}};
+  m.src = PeerId{src};
+  m.dst = PeerId{dst};
   m.ttl = static_cast<std::uint32_t>(ttl);
-  m.msg_id = util::Uuid{id_hi, id_lo};
   return m;
 }
 

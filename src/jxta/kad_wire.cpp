@@ -31,8 +31,7 @@ util::Bytes encode_kad_frame(const KadFrame& frame) {
   w.write_u8(kKadFrameVersion);
   w.write_u8(static_cast<std::uint8_t>(frame.op));
   if (op_has_key(frame.op)) {
-    w.write_u64(frame.key.hi());
-    w.write_u64(frame.key.lo());
+    w.write_uuid(frame.key);
   }
   if (op_has_records(frame.op)) {
     w.write_u8(frame.adv_type);
@@ -45,8 +44,7 @@ util::Bytes encode_kad_frame(const KadFrame& frame) {
   if (frame.op == KadOp::kNodes) {
     w.write_varint(frame.contacts.size());
     for (const auto& c : frame.contacts) {
-      w.write_u64(c.id.uuid().hi());
-      w.write_u64(c.id.uuid().lo());
+      w.write_uuid(c.id.uuid());
       w.write_varint(c.addresses.size());
       for (const auto& a : c.addresses) w.write_string(a.to_string());
     }
@@ -73,14 +71,9 @@ KadDecodeResult try_decode_kad_frame(std::span<const std::uint8_t> data,
   }
   out.frame.op = static_cast<KadOp>(op_byte);
 
-  if (op_has_key(out.frame.op)) {
-    std::uint64_t hi = 0;
-    std::uint64_t lo = 0;
-    if (!r.try_read_u64(hi) || !r.try_read_u64(lo)) {
-      out.error = r.error();
-      return out;
-    }
-    out.frame.key = util::Uuid(hi, lo);
+  if (op_has_key(out.frame.op) && !r.try_read_uuid(out.frame.key)) {
+    out.error = r.error();
+    return out;
   }
 
   if (op_has_records(out.frame.op)) {
@@ -119,11 +112,9 @@ KadDecodeResult try_decode_kad_frame(std::span<const std::uint8_t> data,
     out.frame.contacts.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
       KadContact contact;
-      std::uint64_t hi = 0;
-      std::uint64_t lo = 0;
+      util::Uuid id;
       std::uint64_t addr_count = 0;
-      if (!r.try_read_u64(hi) || !r.try_read_u64(lo) ||
-          !r.try_read_count(addr_count)) {
+      if (!r.try_read_uuid(id) || !r.try_read_count(addr_count)) {
         out.error = r.error();
         return out;
       }
@@ -131,7 +122,7 @@ KadDecodeResult try_decode_kad_frame(std::span<const std::uint8_t> data,
         out.error = util::DecodeError::kCountCap;
         return out;
       }
-      contact.id = PeerId(util::Uuid(hi, lo));
+      contact.id = PeerId(id);
       contact.addresses.reserve(addr_count);
       for (std::uint64_t j = 0; j < addr_count; ++j) {
         std::string text;

@@ -63,8 +63,7 @@ Message Message::dup() const {
 
 util::Bytes Message::serialize() const {
   util::ByteWriter w;
-  w.write_u64(id_.hi());
-  w.write_u64(id_.lo());
+  w.write_uuid(id_);
   w.write_varint(elements_.size());
   for (const auto& e : elements_) {
     w.write_string(e.name);
@@ -78,12 +77,13 @@ std::optional<Message> Message::try_deserialize(
     std::span<const std::uint8_t> data, const util::DecodeLimits& limits,
     util::DecodeError* error) {
   util::ByteReader r(data, limits);
-  std::uint64_t hi = 0, lo = 0, count = 0;
-  if (!r.try_read_u64(hi) || !r.try_read_u64(lo) || !r.try_read_count(count)) {
+  util::Uuid id;
+  std::uint64_t count = 0;
+  if (!r.try_read_uuid(id) || !r.try_read_count(count)) {
     if (error != nullptr) *error = r.error();
     return std::nullopt;
   }
-  Message m{util::Uuid(hi, lo)};
+  Message m{id};
   for (std::uint64_t i = 0; i < count; ++i) {
     MessageElement e;
     if (!r.try_read_string(e.name) || !r.try_read_string(e.mime) ||

@@ -187,8 +187,7 @@ void WireService::publish_on_wire(const PipeId& id, Message msg) {
   obs::append_hop(msg, endpoint_.local_peer().to_string(), "wire-send",
                   obs::now_us());
   util::ByteWriter w;
-  w.write_u64(id.uuid().hi());
-  w.write_u64(id.uuid().lo());
+  w.write_uuid(id.uuid());
   w.write_bytes(msg.serialize());
   // Remote members via rendezvous propagation (and LAN multicast)...
   rendezvous_.propagate(listener_name(), w.take());
@@ -201,15 +200,15 @@ void WireService::on_wire_message(EndpointMessage msg) {
   // Non-throwing decode — a malformed frame is a counted drop, never an
   // exception on the delivery thread.
   util::ByteReader r(msg.payload);
-  std::uint64_t hi = 0, lo = 0;
+  util::Uuid pipe;
   util::Bytes body;
-  if (!r.try_read_u64(hi) || !r.try_read_u64(lo) || !r.try_read_bytes(body)) {
+  if (!r.try_read_uuid(pipe) || !r.try_read_bytes(body)) {
     decode_errors_.inc();
     P2P_LOG(kWarn, "wire") << "malformed wire frame ("
                            << util::to_string(r.error()) << ")";
     return;
   }
-  const PipeId id{util::Uuid{hi, lo}};
+  const PipeId id{pipe};
   auto wire_msg = Message::try_deserialize(body);
   if (!wire_msg) {
     decode_errors_.inc();

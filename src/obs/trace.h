@@ -114,15 +114,12 @@ inline util::Uuid start_trace(jxta::Message& msg, std::string_view peer,
   return util::Uuid{};
 #else
   util::Uuid id;
-  if (const auto existing = msg.get_bytes(kTraceIdElement);
-      existing && existing->size() == 16) {
-    util::ByteReader r(*existing);
-    id = util::Uuid{r.read_u64(), r.read_u64()};
-  } else {
+  const auto existing = msg.get_bytes(kTraceIdElement);
+  if (!existing || existing->size() != 16 ||
+      !util::ByteReader(*existing).try_read_uuid(id)) {
     id = util::Uuid::generate();
     util::ByteWriter w;
-    w.write_u64(id.hi());
-    w.write_u64(id.lo());
+    w.write_uuid(id);
     msg.set_bytes(std::string(kTraceIdElement), w.take());
   }
   std::vector<Hop> hops;
@@ -163,10 +160,11 @@ inline bool append_hop(jxta::Message& msg, std::string_view peer,
 // Reads the trace carried by a message, if any.
 inline std::optional<Trace> extract_trace(const jxta::Message& msg) {
   const auto id_bytes = msg.get_bytes(kTraceIdElement);
-  if (!id_bytes || id_bytes->size() != 16) return std::nullopt;
-  util::ByteReader r(*id_bytes);
   Trace trace;
-  trace.id = util::Uuid{r.read_u64(), r.read_u64()};
+  if (!id_bytes || id_bytes->size() != 16 ||
+      !util::ByteReader(*id_bytes).try_read_uuid(trace.id)) {
+    return std::nullopt;
+  }
   if (const auto body = msg.get_bytes(kTraceHopsElement)) {
     trace.hops = decode_hops(*body);
   }

@@ -13,7 +13,8 @@ SrSession::SrSession(jxta::Peer& peer, std::string topic, SrConfig config)
     : peer_(peer),
       topic_(std::move(topic)),
       config_(config),
-      creator_(peer, peer.discovery()) {}
+      creator_(peer, peer.discovery()),
+      seen_(config.dedup_cache_size) {}
 
 SrSession::~SrSession() { shutdown(); }
 
@@ -135,8 +136,7 @@ void SrSession::publish(const util::Bytes& payload) {
   jxta::Message base;
   base.add_bytes(std::string(kPayloadElement), payload);
   util::ByteWriter idw;
-  idw.write_u64(event_id.hi());
-  idw.write_u64(event_id.lo());
+  idw.write_uuid(event_id);
   base.add_bytes(std::string(kEventIdElement), idw.take());
 
   std::uint64_t sends = 0;
@@ -148,30 +148,18 @@ void SrSession::publish(const util::Bytes& payload) {
   stats_.wire_sends += sends;
 }
 
-bool SrSession::seen_before(const util::Uuid& event_id) {
-  // Caller holds mu_.
-  if (config_.dedup_cache_size == 0) return false;  // suppression disabled
-  if (seen_.contains(event_id)) return true;
-  seen_.insert(event_id);
-  seen_order_.push_back(event_id);
-  if (seen_order_.size() > config_.dedup_cache_size) {
-    seen_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
-  return false;
-}
-
 void SrSession::on_wire_message(jxta::Message msg) {
   const auto id_bytes = msg.get_bytes(std::string(kEventIdElement));
   const auto payload = msg.get_bytes(std::string(kPayloadElement));
   if (!id_bytes || id_bytes->size() != 16 || !payload) return;
+  util::Uuid event_id;
   util::ByteReader r(*id_bytes);
-  const util::Uuid event_id{r.read_u64(), r.read_u64()};
+  if (!r.try_read_uuid(event_id)) return;
   Receiver receiver;
   {
     const util::MutexLock lock(mu_);
     if (shut_down_) return;
-    if (seen_before(event_id)) {
+    if (seen_.test_and_set(event_id)) {
       ++stats_.duplicates_suppressed;
       return;
     }

@@ -10,12 +10,12 @@
 // serializes and casts itself (the very runtime-cast burden TPS removes).
 #pragma once
 
-#include <deque>
 #include <unordered_set>
 
 #include "srjxta/advertisements_creator.h"
 #include "srjxta/advertisements_finder.h"
 #include "srjxta/wire_service_finder.h"
+#include "util/dedup_ring.h"
 #include "util/thread_annotations.h"
 
 namespace p2p::srjxta {
@@ -75,7 +75,6 @@ class SrSession final : public AdvertisementsListenerInterface,
   };
 
   void on_wire_message(jxta::Message msg) EXCLUDES(mu_);
-  bool seen_before(const util::Uuid& event_id) EXCLUDES(mu_);
 
   jxta::Peer& peer_;
   const std::string topic_;
@@ -90,8 +89,9 @@ class SrSession final : public AdvertisementsListenerInterface,
   std::vector<std::shared_ptr<Binding>> bindings_ GUARDED_BY(mu_);
   std::unordered_set<std::string> adopting_ GUARDED_BY(mu_);
   Receiver receiver_ GUARDED_BY(mu_);
-  std::unordered_set<util::Uuid> seen_ GUARDED_BY(mu_);
-  std::deque<util::Uuid> seen_order_ GUARDED_BY(mu_);
+  // Functionality (3): the same ring that backs TPS duplicate suppression,
+  // so SR-JXTA vs SR-TPS compares layers, not data structures.
+  util::DedupRing seen_ GUARDED_BY(mu_);
   SrStats stats_ GUARDED_BY(mu_);
 };
 

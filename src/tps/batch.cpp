@@ -9,8 +9,7 @@ util::Bytes encode_batch_frame(std::span<const BatchItem> items) {
   w.write_u8(kBatchFrameVersion);
   w.write_varint(items.size());
   for (const auto& item : items) {
-    w.write_u64(item.id.hi());
-    w.write_u64(item.id.lo());
+    w.write_uuid(item.id);
     w.write_bytes(item.payload ? std::span<const std::uint8_t>(*item.payload)
                                : std::span<const std::uint8_t>());
   }
@@ -46,14 +45,10 @@ BatchDecodeResult try_decode_batch_frame(std::span<const std::uint8_t> frame,
       static_cast<std::size_t>(std::min<std::uint64_t>(count, 256)));
   for (std::uint64_t i = 0; i < count; ++i) {
     DecodedBatchItem item;
-    std::uint64_t hi = 0;
-    std::uint64_t lo = 0;
-    if (!r.try_read_u64(hi) || !r.try_read_u64(lo) ||
-        !r.try_read_bytes(item.payload)) {
+    if (!r.try_read_uuid(item.id) || !r.try_read_bytes(item.payload)) {
       result.error = r.error();
       return result;
     }
-    item.id = util::Uuid{hi, lo};
     result.items.push_back(std::move(item));
   }
   return result;

@@ -78,10 +78,8 @@ struct EventTraits<tps::RequestEnvelope<T>> {
   using Parent = NoParent;
 
   static void encode(const tps::RequestEnvelope<T>& e, util::ByteWriter& w) {
-    w.write_u64(e.reply_pipe().uuid().hi());
-    w.write_u64(e.reply_pipe().uuid().lo());
-    w.write_u64(e.request_id().hi());
-    w.write_u64(e.request_id().lo());
+    w.write_uuid(e.reply_pipe().uuid());
+    w.write_uuid(e.request_id());
     EventTraits<T>::encode(e.inner(), w);
   }
   static tps::RequestEnvelope<T> decode(util::ByteReader& r) {
@@ -153,9 +151,11 @@ class Requester {
   void on_reply(const jxta::Message& msg) EXCLUDES(mu_) {
     const auto id_bytes = msg.get_bytes("tps:request-id");
     const auto payload = msg.get_bytes("tps:reply");
-    if (!id_bytes || id_bytes->size() != 16 || !payload) return;
-    util::ByteReader idr(*id_bytes);
-    const util::Uuid id{idr.read_u64(), idr.read_u64()};
+    util::Uuid id;
+    if (!id_bytes || id_bytes->size() != 16 || !payload ||
+        !util::ByteReader(*id_bytes).try_read_uuid(id)) {
+      return;
+    }
     ReplyHandler handler;
     {
       const util::MutexLock lock(mu_);
@@ -256,8 +256,7 @@ class Responder {
     }
     jxta::Message msg;
     util::ByteWriter idw;
-    idw.write_u64(request_id.hi());
-    idw.write_u64(request_id.lo());
+    idw.write_uuid(request_id);
     msg.add_bytes("tps:request-id", idw.take());
     msg.add_bytes("tps:reply", payload);
     if (pipe->send(msg)) ++answered_;

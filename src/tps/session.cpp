@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <typeindex>
 
 #include "obs/flight.h"
@@ -50,17 +51,15 @@ std::vector<std::string> capability_list(const TpsConfig& config) {
 
 util::Bytes uuid_to_bytes(const util::Uuid& id) {
   util::ByteWriter w;
-  w.write_u64(id.hi());
-  w.write_u64(id.lo());
+  w.write_uuid(id);
   return w.take();
 }
 
 std::optional<util::Uuid> uuid_from_bytes(const util::Bytes& bytes) {
-  if (bytes.size() != 16) return std::nullopt;
+  util::Uuid id;
   util::ByteReader r(bytes);
-  const std::uint64_t hi = r.read_u64();
-  const std::uint64_t lo = r.read_u64();
-  return util::Uuid{hi, lo};
+  if (bytes.size() != 16 || !r.try_read_uuid(id)) return std::nullopt;
+  return id;
 }
 
 PublishTicket make_rejection(PublishOutcome outcome, std::string why) {
@@ -113,11 +112,6 @@ TpsConfig::Builder& TpsConfig::Builder::batching(
   return *this;
 }
 
-TpsConfig::Builder& TpsConfig::Builder::no_batching() {
-  config_.batching = false;
-  return *this;
-}
-
 TpsConfig::Builder& TpsConfig::Builder::send_queue_capacity(
     std::size_t events) {
   config_.send_queue_capacity = events;
@@ -141,11 +135,6 @@ TpsConfig::Builder& TpsConfig::Builder::no_delivery_pool() {
   return *this;
 }
 
-TpsConfig::Builder& TpsConfig::Builder::no_dedup_ring() {
-  config_.dedup_ring = false;
-  return *this;
-}
-
 TpsConfig::Builder& TpsConfig::Builder::no_tracing() {
   config_.tracing = false;
   return *this;
@@ -162,14 +151,6 @@ TpsConfig::Builder& TpsConfig::Builder::decode_limits(
   config_.decode_max_event_bytes = limits.max_length;
   config_.decode_max_xml_depth = limits.max_depth;
   return *this;
-}
-
-TpsConfig::Builder& TpsConfig::Builder::decode_limits(
-    std::size_t max_batch_events, std::size_t max_event_bytes,
-    std::size_t max_xml_depth) {
-  return decode_limits(util::DecodeLimits{.max_length = max_event_bytes,
-                                          .max_count = max_batch_events,
-                                          .max_depth = max_xml_depth});
 }
 
 TpsConfig TpsConfig::Builder::build() const {
@@ -258,10 +239,8 @@ TpsSession::TpsSession(jxta::Peer& peer, std::string type_name,
           peer.metrics().histogram("tps.publish_latency_us")),
       callback_latency_us_(
           peer.metrics().histogram("tps.callback_latency_us")),
-      encode_cache_(config.encode_cache_size, m_encode_cache_hits_) {
-  if (config_.dedup_ring && config_.dedup_cache_size > 0) {
-    seen_ring_.emplace(config_.dedup_cache_size);
-  }
+      encode_cache_(config.encode_cache_size, m_encode_cache_hits_),
+      seen_ring_(config.dedup_cache_size) {
   subscribers_snapshot_ = std::make_shared<const std::vector<Subscriber>>();
 }
 
@@ -511,9 +490,9 @@ PublishTicket TpsSession::publish(serial::EventPtr event) {
   // Statically-typed events are identified by RTTI; dynamically-typed
   // (XML) events carry their type name themselves.
   const std::string_view dynamic_name = event->tps_type_name();
-  const auto info = dynamic_name.empty()
-                        ? registry_.find(std::type_index(typeid(*event)))
-                        : registry_.find(dynamic_name);
+  auto info = dynamic_name.empty()
+                  ? registry_.find(std::type_index(typeid(*event)))
+                  : registry_.find(dynamic_name);
   if (!info) {
     return make_rejection(
         PublishOutcome::kRejectedUnregisteredType,
@@ -532,16 +511,20 @@ PublishTicket TpsSession::publish(serial::EventPtr event) {
   // wire bytes depend on the codec each binding negotiated, and a frame is
   // encoded at most once per codec actually in use.
   const std::int64_t t0 = obs::now_us();
-  const util::Uuid event_id = util::Uuid::generate();
-
+  PendingPublication pending{util::Uuid::generate(), std::move(info->name),
+                             event, t0};
+  PublishTicket ticket;
   if (!config_.batching) {
-    return publish_sync(event, info->name, chain, event_id, t0);
-  }
-
-  // Async path: hand off to the sender thread through the bounded queue.
-  bool dropped = false;
-  std::size_t depth = 0;
-  {
+    // Synchronous path: a batch of one, sent on the caller's thread.
+    ticket.wire_sends = send_group({&pending, 1}, chain);
+    ticket.outcome = ticket.wire_sends > 0 ? PublishOutcome::kSent
+                                           : PublishOutcome::kNoBinding;
+    if (ticket.wire_sends == 0) {
+      ticket.error = "no advertisement bound for '" + pending.type_name +
+                     "'; nothing transmitted";
+    }
+  } else {
+    // Async path: hand off to the sender thread through the bounded queue.
     const util::MutexLock lock(send_mu_);
     if (sender_stop_) {
       // Lost the race against shutdown(): the queue is already retired.
@@ -549,27 +532,32 @@ PublishTicket TpsSession::publish(serial::EventPtr event) {
                             "session is not running");
     }
     if (send_queue_.size() >= config_.send_queue_capacity) {
-      dropped = true;
+      ticket.outcome = PublishOutcome::kDroppedQueueFull;
+      ticket.error = "send queue full (" +
+                     std::to_string(config_.send_queue_capacity) +
+                     " pending)";
     } else {
-      send_queue_.push_back(
-          PendingPublication{event_id, info->name, event, t0});
-      depth = send_queue_.size();
-      if (depth > queue_hwm_) {
-        queue_hwm_ = depth;
-        m_send_queue_hwm_.set(static_cast<std::int64_t>(depth));
+      send_queue_.push_back(std::move(pending));
+      ticket.outcome = PublishOutcome::kEnqueued;
+      ticket.queue_depth = send_queue_.size();
+      if (ticket.queue_depth > queue_hwm_) {
+        queue_hwm_ = ticket.queue_depth;
+        m_send_queue_hwm_.set(static_cast<std::int64_t>(queue_hwm_));
       }
-      m_send_queue_depth_.set(static_cast<std::int64_t>(depth));
+      m_send_queue_depth_.set(static_cast<std::int64_t>(ticket.queue_depth));
       send_cv_.notify_one();
     }
   }
+  const bool dropped = ticket.dropped();
   {
     const util::MutexLock lock(mu_);
     if (dropped) {
       ++stats_.publish_drops;
     } else {
       ++stats_.published;
+      stats_.wire_sends += ticket.wire_sends;
       stats_.send_queue_hwm =
-          std::max<std::uint64_t>(stats_.send_queue_hwm, depth);
+          std::max<std::uint64_t>(stats_.send_queue_hwm, ticket.queue_depth);
       if (config_.record_history) sent_.push_back(std::move(event));
     }
   }
@@ -577,66 +565,13 @@ PublishTicket TpsSession::publish(serial::EventPtr event) {
     m_publish_drops_.inc();
     obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kDrop,
                         config_.send_queue_capacity);
-    PublishTicket ticket;
-    ticket.outcome = PublishOutcome::kDroppedQueueFull;
-    ticket.error = "send queue full (" +
-                   std::to_string(config_.send_queue_capacity) + " pending)";
     return ticket;
   }
   m_published_.inc();
-  obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kEnqueue,
-                      depth);
-  PublishTicket ticket;
-  ticket.outcome = PublishOutcome::kEnqueued;
-  ticket.queue_depth = depth;
-  return ticket;
-}
-
-PublishTicket TpsSession::publish_sync(serial::EventPtr event,
-                                       const std::string& publish_type,
-                                       const std::vector<std::string>& chain,
-                                       const util::Uuid& event_id,
-                                       std::int64_t t0) {
-  // One frame per codec in use across the fan-out, built on first request.
-  // In a single-codec group (the common case) the event is encoded exactly
-  // once, with whichever codec the bindings negotiated.
-  std::array<std::optional<jxta::Message>, kCodecCount> frames;
-  const auto frame_for = [&](const Codec& codec) -> const jxta::Message& {
-    std::optional<jxta::Message>& slot = frames[codec.index()];
-    if (!slot) {
-      const std::shared_ptr<const util::Bytes> payload =
-          encode_cache_.encode(registry_, codec, event);
-      jxta::Message base;
-      base.add_bytes(std::string(event_element_for(codec)), *payload);
-      base.add_bytes(std::string(kEventIdElement), uuid_to_bytes(event_id));
-      base.add_string(std::string(kTypeElement), publish_type);
-      // First trace hop: the publication leaves the TPS engine. dup() keeps
-      // elements, so every wire transmission carries the same trace id.
-      if (config_.tracing) {
-        obs::start_trace(base, peer_.id().to_string(), "publish", t0);
-      }
-      slot = std::move(base);
-    }
-    return *slot;
-  };
-
-  const std::uint64_t sends = fan_out(chain, frame_for);
-
-  m_published_.inc();
-  m_wire_sends_.inc(sends);
-  publish_latency_us_.record(static_cast<double>(obs::now_us() - t0));
-  {
-    const util::MutexLock lock(mu_);
-    ++stats_.published;
-    stats_.wire_sends += sends;
-    if (config_.record_history) sent_.push_back(std::move(event));
+  if (config_.batching) {
+    obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kEnqueue,
+                        ticket.queue_depth);
   }
-  PublishTicket ticket;
-  ticket.outcome =
-      sends > 0 ? PublishOutcome::kSent : PublishOutcome::kNoBinding;
-  ticket.wire_sends = sends;
-  if (sends == 0) ticket.error = "no advertisement bound for '" +
-                                 publish_type + "'; nothing transmitted";
   return ticket;
 }
 
@@ -716,23 +651,38 @@ void TpsSession::send_pending(std::vector<PendingPublication> items) {
   while (i < items.size()) {
     std::size_t j = i + 1;
     while (j < items.size() && items[j].type_name == items[i].type_name) ++j;
-    send_group(std::span<PendingPublication>(items).subspan(i, j - i));
+    const auto group = std::span<const PendingPublication>(items).subspan(
+        i, j - i);
+    const std::string& publish_type = group.front().type_name;
+    std::vector<std::string> chain;
+    try {
+      chain = registry_.ancestry(publish_type);
+    } catch (const std::exception&) {
+      chain = {publish_type};  // validated at publish; registry only grows
+    }
+    obs::flight::record(obs::FlightComponent::kTps,
+                        obs::FlightKind::kBatchFlush, group.size());
+    const std::uint64_t sends = send_group(group, chain);
+    if (group.size() > 1) m_batches_sent_.inc();
+    {
+      const util::MutexLock lock(mu_);
+      stats_.wire_sends += sends;
+      if (group.size() > 1) {
+        ++stats_.batches_sent;
+        stats_.batched_events += group.size();
+      }
+    }
     i = j;
   }
 }
 
-void TpsSession::send_group(std::span<PendingPublication> group) {
-  const std::string& publish_type = group.front().type_name;
-  std::vector<std::string> chain;
-  try {
-    chain = registry_.ancestry(publish_type);
-  } catch (const std::exception&) {
-    chain = {publish_type};  // validated at publish; registry only grows
-  }
-
-  // One frame per codec in use across the fan-out, built on first request
-  // (same lazy shape as publish_sync; the batch layout itself is
-  // codec-agnostic, only the payload bytes and the element name differ).
+std::uint64_t TpsSession::send_group(
+    std::span<const PendingPublication> group,
+    const std::vector<std::string>& chain) {
+  // One frame per codec in use across the fan-out, built on first request.
+  // In a single-codec group (the common case) each event is encoded exactly
+  // once, with whichever codec the bindings negotiated; the batch layout
+  // itself is codec-agnostic, only the payload bytes and element name differ.
   std::array<std::optional<jxta::Message>, kCodecCount> frames;
   const auto frame_for = [&](const Codec& codec) -> const jxta::Message& {
     std::optional<jxta::Message>& slot = frames[codec.index()];
@@ -756,7 +706,9 @@ void TpsSession::send_group(std::span<PendingPublication> group) {
         base.add_bytes(std::string(batch_element_for(codec)),
                        encode_batch_frame(frame));
       }
-      base.add_string(std::string(kTypeElement), publish_type);
+      base.add_string(std::string(kTypeElement), group.front().type_name);
+      // First trace hop: the publication leaves the TPS engine. dup() keeps
+      // elements, so every wire transmission carries the same trace id.
       if (config_.tracing) {
         obs::start_trace(base, peer_.id().to_string(), "publish",
                          group.front().t0_us);
@@ -771,24 +723,15 @@ void TpsSession::send_group(std::span<PendingPublication> group) {
     }
     return *slot;
   };
-  obs::flight::record(obs::FlightComponent::kTps, obs::FlightKind::kBatchFlush,
-                      group.size());
 
-  const std::uint64_t frames_sent = fan_out(chain, frame_for);
   // wire_sends keeps its v1 meaning: per-event, per-binding transmissions.
-  const std::uint64_t sends = frames_sent * group.size();
+  const std::uint64_t sends = fan_out(chain, frame_for) * group.size();
   m_wire_sends_.inc(sends);
-  if (group.size() > 1) m_batches_sent_.inc();
   const std::int64_t now = obs::now_us();
   for (const auto& p : group) {
     publish_latency_us_.record(static_cast<double>(now - p.t0_us));
   }
-  const util::MutexLock lock(mu_);
-  stats_.wire_sends += sends;
-  if (group.size() > 1) {
-    ++stats_.batches_sent;
-    stats_.batched_events += group.size();
-  }
+  return sends;
 }
 
 void TpsSession::flush() {
@@ -811,25 +754,6 @@ std::size_t TpsSession::send_queue_depth() const {
 
 std::size_t TpsSession::delivery_queue_depth() const {
   return executor_ ? executor_->queue_depth() : 0;
-}
-
-bool TpsSession::seen_before(const util::Uuid& event_id) {
-  if (config_.dedup_cache_size == 0) return false;  // suppression disabled
-  if (seen_ring_.has_value()) {
-    std::uint32_t probes = 0;
-    const bool dup = seen_ring_->test_and_set(event_id, &probes);
-    stats_.dedup_probes += probes;
-    m_dedup_probes_.inc(probes);
-    return dup;
-  }
-  if (seen_.contains(event_id)) return true;
-  seen_.insert(event_id);
-  seen_order_.push_back(event_id);
-  if (seen_order_.size() > config_.dedup_cache_size) {
-    seen_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
-  return false;
 }
 
 void TpsSession::count_decode_failure() {
@@ -909,7 +833,11 @@ bool TpsSession::deliver_event(const util::Uuid& event_id,
   {
     const util::MutexLock lock(mu_);
     if (shut_down_) return false;
-    if (seen_before(event_id)) {
+    std::uint32_t probes = 0;
+    const bool duplicate = seen_ring_.test_and_set(event_id, &probes);
+    stats_.dedup_probes += probes;
+    m_dedup_probes_.inc(probes);
+    if (duplicate) {
       ++stats_.duplicates_suppressed;  // SR functionality (3)
       m_duplicates_suppressed_.inc();
       return false;

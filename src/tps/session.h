@@ -14,7 +14,7 @@
 //   (2) multiple advertisements     — every discovered advertisement of a
 //       type gets its own pipes; publishing fans out to all of them,
 //   (3) duplicate suppression       — per-event UUIDs and a bounded
-//       seen-set make delivery exactly-once per session despite (2).
+//       util::DedupRing make delivery exactly-once per session despite (2).
 //
 // Type-hierarchy dispatch (paper Fig. 7): publishing an event of dynamic
 // type D sends it on the wire of D *and of every registered ancestor of D*;
@@ -24,8 +24,9 @@
 // Fast publish pipeline (TpsConfig::batching, off by default): publish()
 // validates, encodes once (tps/encode_cache.h) and enqueues; a per-session
 // sender thread drains the bounded queue, coalescing publications into
-// batch frames (tps/batch.h) — one wire message for many events. See
-// DESIGN.md "The publish pipeline".
+// batch frames (tps/batch.h) — one wire message for many events. With
+// batching off, publish() sends the same frame path inline as a batch of
+// one. See DESIGN.md "The publish pipeline".
 //
 // Fast receive pipeline (TpsConfig::delivery_workers, off by default): the
 // wire listener thread only dedups and decodes (once per event); subscriber
@@ -38,7 +39,6 @@
 #include <chrono>
 #include <deque>
 #include <map>
-#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_set>
@@ -64,9 +64,9 @@ struct TpsConfig {
   // Finder re-query period ("keeps trying to find others in order to send
   // messages to the maximum number of interested subscribers", §4.1).
   util::Duration finder_period{2000};
-  // Bound on the duplicate-suppression memory (event ids). 0 disables
-  // duplicate suppression entirely (ablation: every wire copy is
-  // delivered, as with raw JXTA-WIRE).
+  // Bound on the duplicate-suppression memory (event ids, held in a
+  // util::DedupRing). 0 disables duplicate suppression entirely (ablation:
+  // every wire copy is delivered, as with raw JXTA-WIRE).
   std::size_t dedup_cache_size = 8192;
   std::int64_t adv_lifetime_ms = jxta::kDefaultAdvLifetimeMs;
   // Publish-side: create advertisements for ancestor types that have none
@@ -103,10 +103,6 @@ struct TpsConfig {
   // deliveries are dropped and counted (delivery_drops) — backpressure
   // never blocks the transport.
   std::size_t delivery_queue_capacity = 1024;
-  // Back duplicate suppression (SR functionality (3)) with the O(1)
-  // open-addressed ring (util/dedup_ring.h) instead of the legacy
-  // set + FIFO deque. Identical semantics; off only for ablation.
-  bool dedup_ring = true;
 
   // --- wire codec (DESIGN.md "The wire codec") ---------------------------
   // Preferred codec for outgoing event payloads: "xml" (default, the
@@ -180,7 +176,6 @@ class TpsConfig::Builder {
   // wire frame, lingering up to max_age for stragglers. max_events must be
   // in [1, 65536]; max_age >= 0.
   Builder& batching(std::size_t max_events, std::chrono::microseconds max_age);
-  Builder& no_batching();
   // Backpressure bound on the async send queue. Must be >= 1.
   Builder& send_queue_capacity(std::size_t events);
   // Encode-once LRU size, in entries. 0 disables.
@@ -192,8 +187,6 @@ class TpsConfig::Builder {
   Builder& delivery_pool(std::size_t workers,
                          std::size_t queue_capacity = 1024);
   Builder& no_delivery_pool();
-  // Ablation: fall back to the legacy set+deque duplicate suppression.
-  Builder& no_dedup_ring();
   // Stop stamping trace elements on outgoing publications (see
   // TpsConfig::tracing).
   Builder& no_tracing();
@@ -206,10 +199,6 @@ class TpsConfig::Builder {
   // the single-event payload bytes (in [1, 256 MiB]), max_depth the
   // embedded-XML nesting (in [1, 1024]).
   Builder& decode_limits(const util::DecodeLimits& limits);
-  // Shim for the pre-codec three-argument spelling of the caps above.
-  Builder& decode_limits(std::size_t max_batch_events,
-                         std::size_t max_event_bytes,
-                         std::size_t max_xml_depth = 64);
 
   [[nodiscard]] TpsConfig build() const;
 
@@ -369,12 +358,6 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
   void adopt_advertisement(const std::string& type,
                            const jxta::PeerGroupAdvertisement& adv,
                            bool own = false) EXCLUDES(mu_);
-  // Synchronous transmission (batching off) of one event.
-  PublishTicket publish_sync(serial::EventPtr event,
-                             const std::string& publish_type,
-                             const std::vector<std::string>& chain,
-                             const util::Uuid& event_id, std::int64_t t0)
-      EXCLUDES(mu_, send_mu_);
   // Sends a frame once per binding of every type in `chain` (dup() per
   // transmission). `frame_for` returns the wire message for a binding's
   // negotiated codec — built lazily, so a group whose bindings all speak
@@ -386,9 +369,16 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
       EXCLUDES(mu_);
   // Sender thread: drains the queue into frames.
   void sender_loop() EXCLUDES(mu_, send_mu_);
+  // Sends each run of equal published types as one group, accounting
+  // batches under mu_.
   void send_pending(std::vector<PendingPublication> items)
       EXCLUDES(mu_, send_mu_);
-  void send_group(std::span<PendingPublication> group)
+  // Frames `group` (v1 single-event framing for a group of one, else a
+  // batch frame), fans it out over the bindings of every type in `chain`
+  // and records publish latency. Returns per-event wire sends. A
+  // synchronous publish is a group of one sent on the caller's thread.
+  std::uint64_t send_group(std::span<const PendingPublication> group,
+                           const std::vector<std::string>& chain)
       EXCLUDES(mu_, send_mu_);
   void on_event_message(jxta::Message msg) EXCLUDES(mu_);
   // Dedup + decode-once + dispatch of one received event. The payload is
@@ -408,7 +398,6 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
   // delivery hot path. Called after every mutation.
   void publish_subscriber_list() REQUIRES(mu_) EXCLUDES(list_mu_);
   void count_decode_failure() EXCLUDES(mu_);
-  bool seen_before(const util::Uuid& event_id) REQUIRES(mu_);
 
   jxta::Peer& peer_;
   const std::string type_name_;
@@ -468,11 +457,8 @@ class TpsSession : public std::enable_shared_from_this<TpsSession> {
       GUARDED_BY(list_mu_);
   std::vector<serial::EventPtr> received_ GUARDED_BY(mu_);
   std::vector<serial::EventPtr> sent_ GUARDED_BY(mu_);
-  // Duplicate suppression: the ring when config_.dedup_ring (hot path),
-  // else the legacy set + FIFO deque.
-  std::optional<util::DedupRing> seen_ring_ GUARDED_BY(mu_);
-  std::unordered_set<util::Uuid> seen_ GUARDED_BY(mu_);
-  std::deque<util::Uuid> seen_order_ GUARDED_BY(mu_);
+  // Duplicate suppression (SR functionality (3)); capacity 0 = off.
+  util::DedupRing seen_ring_ GUARDED_BY(mu_);
   TpsStats stats_ GUARDED_BY(mu_);
   // Callbacks run so far, by path. Atomics (not stats_ fields) so the
   // inline hot path does not take mu_ per callback.

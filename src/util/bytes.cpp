@@ -54,6 +54,11 @@ void ByteWriter::write_u64(std::uint64_t v) {
     buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+void ByteWriter::write_uuid(const Uuid& id) {
+  write_u64(id.hi());
+  write_u64(id.lo());
+}
+
 void ByteWriter::write_i64(std::int64_t v) {
   // ZigZag so small negative numbers stay short.
   const auto u = static_cast<std::uint64_t>(v);
@@ -240,6 +245,14 @@ bool ByteReader::try_read_count(std::uint64_t& out) {
   if (!try_read_varint(n)) return false;
   if (n > limits_.max_count) return set_error(DecodeError::kCountCap);
   out = n;
+  return true;
+}
+
+bool ByteReader::try_read_uuid(Uuid& out) {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  if (!try_read_u64(hi) || !try_read_u64(lo)) return false;
+  out = Uuid{hi, lo};
   return true;
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/uuid.h"
 
 namespace p2p::util {
 
@@ -81,6 +82,8 @@ class ByteWriter {
   void write_string(std::string_view v);           // varint length + bytes
   void write_bytes(std::span<const std::uint8_t> v);  // varint length + bytes
   void write_raw(std::span<const std::uint8_t> v);    // no length prefix
+  // The 16-byte id layout every frame shares: hi then lo, each u64.
+  void write_uuid(const Uuid& id);
 
   [[nodiscard]] const Bytes& data() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }
@@ -128,6 +131,8 @@ class ByteReader {
   // A varint collection count, capped at limits.max_count (defence against
   // count × per-item-allocation amplification).
   [[nodiscard]] bool try_read_count(std::uint64_t& out);
+  // A 16-byte id as ByteWriter::write_uuid lays it out.
+  [[nodiscard]] bool try_read_uuid(Uuid& out);
 
   // Nesting guard for recursive formats decoded through this reader: fails
   // with kDepthCap past limits.max_depth. exit_nested() unwinds.

@@ -1,17 +1,16 @@
 // DedupRing: fixed-capacity duplicate-suppression memory with O(1) probes.
 //
-// Both duplicate-suppression layers of the stack — rendezvous propagation
-// loop suppression (jxta/rendezvous.h) and TPS exactly-once delivery
-// (tps/session.h, SR functionality (3)) — need the same primitive: "have I
-// seen this 128-bit id among the last N?". The original implementation
-// paired an unordered_set with an insertion-order list; that costs a node
-// allocation per insert, hashes twice on the eviction path, and (in the
-// rendezvous case) paid an O(n) vector front-erase per eviction — a latent
-// quadratic on high-propagation workloads.
+// Every duplicate-suppression site of the stack — rendezvous propagation
+// loop suppression (jxta/rendezvous.h), TPS exactly-once delivery
+// (tps/session.h, SR functionality (3)) and the SR-JXTA baseline
+// (srjxta/sr_session.h) — needs the same primitive: "have I seen this
+// 128-bit id among the last N?". A set beside an insertion-order list
+// answers it too, but costs a node allocation per insert and hashes twice
+// on the eviction path, so this is the one structure all three use
+// (tools/lint.py's dedup-structure check keeps it that way).
 //
-// This structure keeps the exact same semantics — the most recent
-// `capacity` distinct ids are remembered, FIFO eviction — in two flat
-// pre-allocated arrays:
+// The most recent `capacity` distinct ids are remembered, FIFO eviction,
+// in two flat pre-allocated arrays:
 //   * an open-addressed linear-probing table (load factor <= 1/2, so the
 //     expected probe chain is ~1.5 slots) holding the ids, and
 //   * a circular buffer recording insertion order for eviction.
@@ -19,8 +18,7 @@
 // deletion (no tombstones, so probe chains never degrade over time).
 // test_and_set() is a handful of cache lines and never allocates.
 //
-// Not thread-safe: callers guard it with their own mutex, exactly as they
-// guarded the set it replaces.
+// Not thread-safe: callers guard it with their own mutex.
 #pragma once
 
 #include <cstddef>

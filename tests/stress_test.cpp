@@ -6,6 +6,7 @@
 
 #include "events/news.h"
 #include "events/ski_rental.h"
+#include "srjxta/sr_session.h"
 #include "support/test_net.h"
 #include "support/timing.h"
 #include "tps/tps.h"
@@ -175,6 +176,37 @@ TEST(DedupOverflowTest, TinyCacheStillSuppressesAdjacentDuplicates) {
   ASSERT_TRUE(wait_until([&] { return got >= kEvents; }));
   p2p::testing::settle(std::chrono::milliseconds(300));
   EXPECT_EQ(got, kEvents);
+
+  // The hand-coded SR-JXTA baseline dedups with the same ring: same world,
+  // same 4-entry cache, same exactly-once result.
+  TestNet sr_net;
+  jxta::Peer& carol = sr_net.add_peer("carol");
+  jxta::Peer& dave = sr_net.add_peer("dave");
+  sr_net.fabric().partition("carol", "dave");
+  srjxta::SrConfig sr_config;
+  sr_config.adv_search_timeout = std::chrono::milliseconds(1);
+  sr_config.finder_period = std::chrono::milliseconds(150);
+  sr_config.dedup_cache_size = 4;
+  auto sr_sub = std::make_shared<srjxta::SrSession>(carol, "Tiny", sr_config);
+  auto sr_pub = std::make_shared<srjxta::SrSession>(dave, "Tiny", sr_config);
+  sr_sub->init();
+  sr_pub->init();
+  sr_net.fabric().heal("carol", "dave");
+  ASSERT_TRUE(wait_until([&] {
+    return sr_sub->advertisement_count() == 2 &&
+           sr_pub->advertisement_count() == 2;
+  }));
+  std::atomic<int> sr_got{0};
+  sr_sub->set_receiver([&](const util::Bytes&) { ++sr_got; });
+  for (int i = 0; i < kEvents; ++i) {
+    sr_pub->publish({static_cast<std::uint8_t>(i)});
+  }
+  ASSERT_TRUE(wait_until([&] { return sr_got >= kEvents; }));
+  p2p::testing::settle(std::chrono::milliseconds(300));
+  EXPECT_EQ(sr_got, kEvents);
+  EXPECT_GT(sr_sub->stats().duplicates_suppressed, 0u);
+  sr_sub->shutdown();  // no late delivery may touch sr_got past this line
+  sr_pub->shutdown();
 }
 
 // --- concurrent API use -------------------------------------------------------------------

@@ -3,6 +3,7 @@
 // TpsConfig::Builder, PublishTicket, RAII Subscription handles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -365,6 +366,62 @@ TEST(TpsBatchTest, FlushCutsTheLingerAndCloseDrainsTheQueue) {
     }
   }  // interface destroyed -> session shutdown -> drain
   EXPECT_EQ(count->load(), 15);
+}
+
+TEST(TpsBatchTest, SyncPublishIsABatchOfOneOnTheWire) {
+  // A synchronous publish and a lone batched publication build the same
+  // single-event frame, so the subscriber files the same hop path for both
+  // — and neither carries a "batch" hop.
+#if defined(P2P_OBS_DISABLED)
+  GTEST_SKIP() << "hop tracing is compiled out (-DP2P_OBS=OFF)";
+#endif
+  TestNet net;
+  jxta::Peer& alice = net.add_peer("alice");
+  jxta::Peer& bob = net.add_peer("bob");
+
+  TpsEngine<SkiRental> sub_engine(alice, fast_builder().build());
+  auto sub = sub_engine.new_interface();
+  const auto count = make_counter();
+  auto handle = sub.subscribe([count](const SkiRental&) { ++*count; });
+
+  const auto patient = fast_builder().adv_search_timeout(
+      std::chrono::milliseconds(3000));
+  TpsEngine<SkiRental> sync_engine(bob, patient.build());
+  auto sync_pub = sync_engine.new_interface();
+  TpsEngine<SkiRental> batched_engine(
+      bob, fast_builder()
+               .adv_search_timeout(std::chrono::milliseconds(3000))
+               .batching(8, std::chrono::milliseconds(50))
+               .build());
+  auto batched_pub = batched_engine.new_interface();
+  ASSERT_EQ(sync_pub.advertisement_count(), 1u);
+  ASSERT_EQ(batched_pub.advertisement_count(), 1u);
+
+  const auto sent = sync_pub.try_publish(SkiRental("sync", 1.0f, "b", 1.0f));
+  ASSERT_EQ(sent.outcome, PublishOutcome::kSent);
+  EXPECT_EQ(sent.wire_sends, 1u);
+  ASSERT_TRUE(wait_until([&] { return alice.tracer().recorded() >= 1; }));
+  ASSERT_EQ(batched_pub.try_publish(SkiRental("batched", 2.0f, "b", 1.0f))
+                .outcome,
+            PublishOutcome::kEnqueued);
+  batched_pub.flush();
+  ASSERT_TRUE(wait_until([&] { return alice.tracer().recorded() >= 2; }));
+  EXPECT_TRUE(wait_until([&] { return count->load() == 2; }));
+  EXPECT_EQ(batched_pub.stats().batches_sent, 0u);
+
+  const auto stages = [](const obs::Trace& trace) {
+    std::vector<std::string> out;
+    for (const obs::Hop& hop : trace.hops) out.push_back(hop.stage);
+    return out;
+  };
+  const auto traces = alice.tracer().recent();
+  ASSERT_EQ(traces.size(), 2u);
+  const std::vector<std::string> sync_stages = stages(traces[0]);
+  EXPECT_EQ(stages(traces[1]), sync_stages);
+  ASSERT_GE(sync_stages.size(), 2u);
+  EXPECT_EQ(sync_stages.front(), "publish");
+  EXPECT_EQ(sync_stages.back(), "deliver");
+  EXPECT_EQ(std::count(sync_stages.begin(), sync_stages.end(), "batch"), 0);
 }
 
 // --- PublishTicket -----------------------------------------------------------

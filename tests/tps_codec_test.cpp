@@ -12,8 +12,8 @@
 #include "tps/advertisements.h"
 #include "tps/dynamic.h"
 #include "tps/encode_cache.h"
+#include "tps/event.h"
 #include "tps/tps.h"
-#include "tps/xml_event.h"
 
 namespace p2p::tps {
 namespace {
@@ -98,14 +98,6 @@ TEST(DynamicEventTest, XmlFormRoundTrips) {
   e.set("resort", "Verbier").set("snow_cm", "60");
   const DynamicEvent back = DynamicEvent::from_xml(e.to_xml());
   EXPECT_EQ(back, e);
-}
-
-TEST(DynamicEventTest, XmlEventAliasStillCompiles) {
-  // The deprecated surface: xml_event.h forwards to the codec-neutral one.
-  XmlEvent e("Quote");
-  e.set("sym", "A");
-  static_assert(std::is_same_v<XmlEvent, DynamicEvent>);
-  EXPECT_EQ(e.get("sym"), "A");
 }
 
 // --- codec registry ----------------------------------------------------------
@@ -313,21 +305,20 @@ TEST(CodecConfigTest, BuilderRejectsUnknownCodecNamingTheKnob) {
 }
 
 TEST(CodecConfigTest, DecodeLimitsStructOverloadMatchesLooseArgs) {
-  const TpsConfig via_struct =
+  // The one struct sets the three loose decode_max_* fields, and build()
+  // bounds-checks each of them.
+  const TpsConfig config =
       TpsConfig::Builder()
           .decode_limits(DecodeLimits{
               .max_length = 1024, .max_count = 16, .max_depth = 8})
           .build();
-  const TpsConfig via_args =
-      TpsConfig::Builder().decode_limits(16, 1024, 8).build();
-  EXPECT_EQ(via_struct.decode_max_batch_events,
-            via_args.decode_max_batch_events);
-  EXPECT_EQ(via_struct.decode_max_event_bytes,
-            via_args.decode_max_event_bytes);
-  EXPECT_EQ(via_struct.decode_max_xml_depth, via_args.decode_max_xml_depth);
-  EXPECT_EQ(via_struct.decode_max_batch_events, 16u);
-  EXPECT_EQ(via_struct.decode_max_event_bytes, 1024u);
-  EXPECT_EQ(via_struct.decode_max_xml_depth, 8u);
+  EXPECT_EQ(config.decode_max_batch_events, 16u);
+  EXPECT_EQ(config.decode_max_event_bytes, 1024u);
+  EXPECT_EQ(config.decode_max_xml_depth, 8u);
+  EXPECT_THROW((void)TpsConfig::Builder()
+                   .decode_limits(DecodeLimits{.max_depth = 0})
+                   .build(),
+               PsException);
 }
 
 // --- advertisement capability + negotiation ----------------------------------

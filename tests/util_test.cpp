@@ -166,6 +166,25 @@ TEST(BytesTest, RawRoundTrip) {
   EXPECT_EQ(to_string(r.read_raw(3)), "abc");
 }
 
+TEST(BytesTest, UuidIsHiThenLoAndTruncationIsClassified) {
+  const Uuid id{0x0102030405060708ULL, 0x1112131415161718ULL};
+  ByteWriter w;
+  w.write_uuid(id);
+  ByteWriter pair;
+  pair.write_u64(id.hi());
+  pair.write_u64(id.lo());
+  EXPECT_EQ(w.data(), pair.data());  // the layout every frame already used
+  Uuid back;
+  ByteReader r(w.data());
+  EXPECT_TRUE(r.try_read_uuid(back));
+  EXPECT_EQ(back, id);
+  EXPECT_TRUE(r.at_end());
+  const Bytes fifteen(w.data().begin(), w.data().end() - 1);
+  ByteReader short_reader(fifteen);
+  EXPECT_FALSE(short_reader.try_read_uuid(back));
+  EXPECT_EQ(short_reader.error(), DecodeError::kTruncated);
+}
+
 TEST(BytesTest, TruncatedInputThrows) {
   ByteWriter w;
   w.write_u32(42);
@@ -587,8 +606,8 @@ TEST(ClockTest, SystemClockAdvances) {
   EXPECT_GT(clock.now(), a);
 }
 
-TEST(ClockTest, ManualClockOnlyMovesWhenAdvanced) {
-  ManualClock clock;
+TEST(ClockTest, SimClockOnlyMovesWhenAdvanced) {
+  SimClock clock;
   const auto a = clock.now();
   EXPECT_EQ(clock.now(), a);
   clock.advance(std::chrono::milliseconds(50));

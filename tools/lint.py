@@ -71,6 +71,11 @@ Checks (each can be listed with --list):
                   Publishing inline re-enters the send path from the
                   receive path — a recursion/stall hazard the delivery
                   executor (tps/dispatch.h) exists to prevent.
+  dedup-structure No std::deque<util::Uuid> in src/ outside
+                  util/dedup_ring.h. Duplicate suppression (TPS delivery,
+                  rendezvous loop suppression, SR-JXTA) has exactly one
+                  structure, util::DedupRing; an id FIFO beside a set is
+                  the second, slower one the measurements already retired.
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 
@@ -430,6 +435,26 @@ def check_xml_hot_path(tree: Tree) -> list[str]:
     return errors
 
 
+DEDUP_DEQUE_RE = re.compile(
+    r"\bstd::deque\s*<\s*(?:::)?(?:p2p::)?(?:util::)?Uuid\s*>")
+DEDUP_DEQUE_EXEMPT = "src/util/dedup_ring.h"
+
+
+def check_dedup_structure(tree: Tree) -> list[str]:
+    errors = []
+    for path in tree.matching("src/", (".h", ".cpp")):
+        if path == DEDUP_DEQUE_EXEMPT:
+            continue
+        code = strip_comments(tree.files[path])
+        for m in DEDUP_DEQUE_RE.finditer(code):
+            errors.append(
+                f"{path}:{line_of(code, m.start())}: {m.group(0)} — a "
+                f"second duplicate-suppression structure; remember ids in "
+                f"util::DedupRing (util/dedup_ring.h), the one ring behind "
+                f"TPS, rendezvous and SR-JXTA dedup")
+    return errors
+
+
 LISTENER_RE = re.compile(r"\bset_listener\s*\(")
 LISTENER_PUBLISH_RE = re.compile(
     r"\b(?:publish|try_publish|publish_on_wire)\s*\(")
@@ -489,6 +514,7 @@ CHECKS = {
     "raw-decode": check_raw_decode,
     "xml-hot-path": check_xml_hot_path,
     "listener-publish": check_listener_publish,
+    "dedup-structure": check_dedup_structure,
 }
 
 
@@ -638,6 +664,18 @@ def self_test() -> int:
                "  on_event_message(std::move(m));\n"
                "});\n"
                "publish(next);\n"}),
+         None),
+        ("dedup-structure catches an id FIFO beside a seen-set",
+         Tree({"src/x/a.h":
+               "std::unordered_set<util::Uuid> seen_;\n"
+               "std::deque<util::Uuid> seen_order_;\n"}),
+         "dedup-structure"),
+        ("dedup-structure allows the ring and other deques",
+         Tree({"src/util/dedup_ring.h": "std::deque<Uuid> order_;\n",
+               "src/x/a.h":
+               "util::DedupRing seen_;\n"
+               "std::deque<PendingPublication> send_queue_;\n"
+               "// std::deque<util::Uuid> in prose is fine\n"}),
          None),
     ]
     failures = 0
