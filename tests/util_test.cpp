@@ -569,6 +569,13 @@ struct GlobCase {
   bool match;
 };
 
+// Without a printer gtest names each case after the raw bytes of the struct
+// (string addresses and padding), so the ctest name changed with every build.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << "pattern='" << c.pattern << "' text='" << c.text << "' "
+      << (c.match ? "match" : "no_match");
+}
+
 class GlobTest : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobTest, Matches) {
